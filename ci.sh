@@ -7,7 +7,9 @@ cd "$(dirname "$0")"
 CARGO_FLAGS=${CARGO_FLAGS:-}
 
 cargo build --release $CARGO_FLAGS
-cargo test -q $CARGO_FLAGS
+# The whole workspace: the root suite plus every member crate's own unit
+# and doc tests (kernel, verbs, obs, sched, mux, ...).
+cargo test -q --workspace $CARGO_FLAGS
 cargo clippy --workspace $CARGO_FLAGS -- -D warnings
 
 # Feature matrix: the audit feature auto-installs the protocol invariant
@@ -47,12 +49,6 @@ fi
 # with exactly-once row delivery, and the partial-recovery plan is
 # contained without a full restart.
 cargo run -q --release -p rshuffle-bench --bin chaos $CARGO_FLAGS -- --smoke
-
-# Scheduler unit tests (the umbrella suite only runs integration tests).
-cargo test -q -p rshuffle-sched --lib $CARGO_FLAGS
-
-# Multiplexer unit tests: slot leasing, LRU sharing, credit accounting.
-cargo test -q -p rshuffle-mux --lib $CARGO_FLAGS
 
 # Concurrency smoke: 1 and 2 co-running queries per algorithm through the
 # admission scheduler; fails unless queries genuinely overlap in virtual

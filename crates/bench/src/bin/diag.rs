@@ -261,6 +261,11 @@ fn main() {
         100.0 * send_busy.0 / send_busy.1.max(1e-12),
         100.0 * recv_busy.0 / recv_busy.1.max(1e-12)
     );
+    let k = runtime.kernel().counters();
+    println!(
+        "kernel: handoffs {}  self-resumes {}  events {}  fused waits {}",
+        k.handoffs, k.self_resumes, k.events, k.fused_waits
+    );
 
     // Unified metrics snapshot: every counter and histogram the stack
     // recorded, across all tiers (NIC, kernel, verbs, endpoints, engine).

@@ -53,6 +53,15 @@ pub mod names {
     pub const KERNEL_IDLE_NS: &str = "kernel.idle_ns";
     /// Simulated threads that ran to completion `{node}`.
     pub const KERNEL_THREADS_FINISHED: &str = "kernel.threads_finished";
+    /// Kernel dispatches that passed the run baton to another OS thread,
+    /// per run (the simulator's host-cost proxy).
+    pub const KERNEL_HANDOFFS: &str = "kernel.handoffs";
+    /// Kernel dispatches that resumed the dispatching thread itself, per
+    /// run (no OS switch).
+    pub const KERNEL_SELF_RESUMES: &str = "kernel.self_resumes";
+    /// Fused poll-then-wait calls the dispatcher parked on an empty gate
+    /// without waking the thread, per run (each one saves a handoff).
+    pub const KERNEL_FUSED_WAITS: &str = "kernel.fused_waits";
     /// UD datagrams dropped in the network by fault injection.
     pub const VERBS_UD_DROPPED: &str = "verbs.ud_dropped_in_network";
     /// UD datagrams that found no posted receive (receiver overrun).

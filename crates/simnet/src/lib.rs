@@ -38,7 +38,7 @@ pub mod sync;
 pub mod time;
 
 pub use cluster::Cluster;
-pub use kernel::{Gate, Kernel, RecvTimeout, SimContext, SimThreadId, ThreadStats};
+pub use kernel::{Gate, Kernel, KernelCounters, RecvTimeout, SimContext, SimThreadId, ThreadStats};
 pub use net::{Fabric, IncastModel, Topology};
 pub use nic::{FairResource, FlowId, FlowTable, NicModel};
 pub use profile::DeviceProfile;

@@ -202,8 +202,11 @@ impl CompletionQueue {
             return 0;
         }
         *self.inner.prepaid.lock() = 0;
-        ctx.sleep(self.inner.poll_cost);
-        match self.inner.gate.recv_timeout(ctx, timeout) {
+        match self
+            .inner
+            .gate
+            .sleep_then_recv_timeout(ctx, self.inner.poll_cost, timeout)
+        {
             rshuffle_simnet::RecvTimeout::Value(c) => out.push(c),
             rshuffle_simnet::RecvTimeout::TimedOut => return 0,
         }

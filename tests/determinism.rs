@@ -231,6 +231,9 @@ fn snapshot_covers_required_series() {
         "nic.qp_cache_hits",
         "verbs.msg_latency_ns",
         "engine.rows",
+        "kernel.handoffs",
+        "kernel.self_resumes",
+        "kernel.fused_waits",
     ] {
         assert!(snap.contains(name), "snapshot missing series {name:?}");
     }
