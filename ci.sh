@@ -23,9 +23,9 @@ cargo clippy --workspace --all-targets --features audit $CARGO_FLAGS -- -D warni
 cargo test -q --features saboteur --test mutation $CARGO_FLAGS
 cargo clippy --workspace --all-targets --features saboteur $CARGO_FLAGS -- -D warnings
 
-# Panic-free data path: endpoint hot paths and the recovery/restart
-# orchestrators propagate typed ShuffleErrors; unwrap/expect would turn a
-# poisoned ring slot or a failed reconnect into a process abort.
+# Panic-free data path: endpoint hot paths and the recovery coordinator
+# propagate typed ShuffleErrors; unwrap/expect would turn a poisoned ring
+# slot or a failed reconnect into a process abort.
 if grep -rnE '\.(unwrap|expect)\(' crates/core/src/endpoint/ crates/engine/src/ crates/mux/src/ \
   crates/core/src/phase.rs crates/core/src/advisor.rs; then
   echo "ERROR: unwrap()/expect() on an engine, endpoint or mux data path (see above)" >&2

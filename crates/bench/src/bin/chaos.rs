@@ -144,7 +144,7 @@ fn main() {
             // The partial-recovery plan is a containment gate: the
             // failure must be absorbed without a full restart.
             let contained = *plan_name != "partial-recovery"
-                || (rep.partial_retries >= 1 && rep.full_restarts == 0);
+                || (rep.partial_retries >= 1 && rep.restarts == 0);
             let ok = rep.succeeded() && winning == expected_rows && contained;
             if !ok {
                 failures += 1;
@@ -155,7 +155,7 @@ fn main() {
                 }
                 None if !contained => format!(
                     "NOT CONTAINED ({} partial, {} full)",
-                    rep.partial_retries, rep.full_restarts
+                    rep.partial_retries, rep.restarts
                 ),
                 None => "ok".to_string(),
                 Some(e) => format!("FAILED: {e}"),
@@ -165,7 +165,7 @@ fn main() {
                 "  {:<10} {:>7} {:>8} {:>10} {:>10} {:>9} {:>13} {:>12.1}  {}",
                 algorithm.to_string(),
                 rep.partial_retries,
-                rep.full_restarts,
+                rep.restarts,
                 rep.qp_reconnects,
                 rep.redone_bytes,
                 rep.rows,
@@ -182,7 +182,7 @@ fn main() {
                 metrics: vec![
                     MetricRow::lower("engine.recovery_ns", recovery_ns as f64),
                     MetricRow::info("engine.partial_retries", rep.partial_retries as f64),
-                    MetricRow::info("engine.restarts", rep.full_restarts as f64),
+                    MetricRow::info("engine.restarts", rep.restarts as f64),
                     MetricRow::info("engine.qp_reconnects", rep.qp_reconnects as f64),
                     MetricRow::info("engine.redone_bytes", rep.redone_bytes as f64),
                     MetricRow::info("engine.kept_bytes", rep.kept_bytes as f64),

@@ -37,8 +37,6 @@ pub const SCHEMA: &str = "rshuffle-bench/1";
 /// The direction is part of the record, not inferred from the name at
 /// diff time: a metric named `throughput_ns` would be ambiguous under
 /// name inference, and silently guessing wrong would flip the gate.
-/// Name inference survives only as a parse-time fallback for baselines
-/// recorded before the `directions` field existed.
 #[derive(Clone, Debug)]
 pub struct MetricRow {
     /// Metric name, unique within its result row.
@@ -599,8 +597,7 @@ pub struct ParsedMetric {
     pub key: (String, String, String),
     /// Recorded value.
     pub value: f64,
-    /// Gating direction: the file's explicit `directions` entry, or the
-    /// name-inferred fallback for pre-`directions` baselines.
+    /// Gating direction: the file's explicit `directions` entry.
     pub direction: Direction,
 }
 
@@ -617,9 +614,8 @@ pub struct ParsedReport {
 
 impl ParsedReport {
     /// Parses `BENCH_*.json` text. Fails on malformed JSON, a missing
-    /// or unknown schema tag, non-numeric metric values, unknown
-    /// direction tags, or (for files without a `directions` field) an
-    /// ambiguous metric name.
+    /// or unknown schema tag, non-numeric metric values, or a metric
+    /// without a known direction tag in its result's `directions`.
     pub fn parse(text: &str) -> Result<ParsedReport, String> {
         let root = serde_json::from_str(text).map_err(|e| e.to_string())?;
         let Value::Object(fields) = root else {
@@ -663,14 +659,8 @@ impl ParsedReport {
                 let Some(Value::Object(ms)) = rget("metrics") else {
                     return Err(format!("bench {bench_id}/{id}: missing metrics"));
                 };
-                // Explicit per-metric directions (absent in baselines
-                // recorded before the field existed).
-                let directions = match rget("directions") {
-                    Some(Value::Object(ds)) => Some(ds),
-                    Some(_) => {
-                        return Err(format!("bench {bench_id}/{id}: directions is not an object"))
-                    }
-                    None => None,
+                let Some(Value::Object(directions)) = rget("directions") else {
+                    return Err(format!("bench {bench_id}/{id}: missing directions object"));
                 };
                 for (name, value) in ms {
                     let v = match value {
@@ -683,23 +673,19 @@ impl ParsedReport {
                             ))
                         }
                     };
-                    let direction = match directions {
-                        Some(ds) => match ds.iter().find(|(k, _)| k == name).map(|(_, v)| v) {
-                            Some(Value::Str(tag)) => Direction::from_tag(tag)
-                                .map_err(|e| format!("bench {bench_id}/{id}/{name}: {e}"))?,
-                            Some(_) => {
-                                return Err(format!(
-                                    "bench {bench_id}/{id}: direction of {name} is not a string"
-                                ))
-                            }
-                            None => {
-                                return Err(format!(
-                                    "bench {bench_id}/{id}: metric {name} has no direction entry"
-                                ))
-                            }
-                        },
-                        None => infer_direction(name)
-                            .map_err(|e| format!("bench {bench_id}/{id}: {e}"))?,
+                    let direction = match directions.iter().find(|(k, _)| k == name) {
+                        Some((_, Value::Str(tag))) => Direction::from_tag(tag)
+                            .map_err(|e| format!("bench {bench_id}/{id}/{name}: {e}"))?,
+                        Some(_) => {
+                            return Err(format!(
+                                "bench {bench_id}/{id}: direction of {name} is not a string"
+                            ))
+                        }
+                        None => {
+                            return Err(format!(
+                                "bench {bench_id}/{id}: metric {name} has no direction entry"
+                            ))
+                        }
                     };
                     metrics.push(ParsedMetric {
                         key: (bench_id.clone(), id.clone(), name.clone()),
@@ -773,27 +759,6 @@ impl Direction {
             "informational" => Ok(Direction::Informational),
             other => Err(format!("unknown metric direction tag {other:?}")),
         }
-    }
-}
-
-/// Infers a gating direction from a metric name — the fallback for
-/// baselines recorded before the explicit `directions` field existed.
-/// `*_ns` names are lower-is-better, throughput-ish names are
-/// higher-is-better, everything else is informational. A name matching
-/// *both* rules (e.g. `throughput_ns`) is ambiguous and fails loudly:
-/// guessing would silently flip the gate for that metric.
-pub fn infer_direction(name: &str) -> Result<Direction, String> {
-    let latency_like = name.ends_with("_ns");
-    let throughput_like =
-        name.contains("mbps") || name.contains("gib_per_sec") || name.contains("throughput");
-    match (latency_like, throughput_like) {
-        (true, true) => Err(format!(
-            "metric name {name:?} is ambiguous (latency-like and throughput-like); \
-             re-record the baseline with explicit directions"
-        )),
-        (true, false) => Ok(Direction::LowerIsBetter),
-        (false, true) => Ok(Direction::HigherIsBetter),
-        (false, false) => Ok(Direction::Informational),
     }
 }
 
@@ -949,8 +914,7 @@ mod tests {
             )
         );
         assert_eq!(parsed.metrics[0].value, 1000.0);
-        // The explicit directions round-trip, including the one a name
-        // inference could not have produced for `peak_bytes`.
+        // The explicit directions round-trip.
         assert_eq!(parsed.metrics[0].direction, Direction::LowerIsBetter);
         assert_eq!(parsed.metrics[1].direction, Direction::HigherIsBetter);
         assert_eq!(parsed.metrics[2].direction, Direction::Informational);
@@ -1044,20 +1008,9 @@ mod tests {
     }
 
     #[test]
-    fn direction_inference() {
-        assert_eq!(infer_direction("p50_ns"), Ok(Direction::LowerIsBetter));
-        assert_eq!(infer_direction("makespan_ns"), Ok(Direction::LowerIsBetter));
-        assert_eq!(infer_direction("agg_mbps"), Ok(Direction::HigherIsBetter));
-        assert_eq!(infer_direction("gib_per_sec"), Ok(Direction::HigherIsBetter));
-        assert_eq!(infer_direction("peak_bytes"), Ok(Direction::Informational));
-    }
-
-    #[test]
-    fn ambiguous_metric_name_fails_loudly_without_directions() {
-        // An old-format baseline (no `directions` field) with a name
-        // that is simultaneously latency-like and throughput-like must
-        // be rejected at parse time, never silently gated one way.
-        assert!(infer_direction("throughput_ns").is_err());
+    fn result_without_directions_is_rejected() {
+        // Every metric's gating direction is recorded, never guessed from
+        // its name: a result without a `directions` object does not parse.
         let text = r#"{
             "schema": "rshuffle-bench/1",
             "commit": "x",
@@ -1066,19 +1019,19 @@ mod tests {
                 "config": {},
                 "results": [{
                     "id": "r",
-                    "metrics": {"throughput_ns": 1.0},
+                    "metrics": {"p99_ns": 1.0},
                     "stages": {}
                 }]
             }]
         }"#;
         let err = ParsedReport::parse(text).unwrap_err();
-        assert!(err.contains("ambiguous"), "got: {err}");
+        assert!(err.contains("missing directions"), "got: {err}");
     }
 
     #[test]
-    fn explicit_direction_overrides_name_inference() {
-        // With an explicit direction the same ambiguous name is fine,
-        // and the recorded direction — not the name — drives the gate.
+    fn explicit_direction_drives_the_gate() {
+        // A name that reads latency-like and throughput-like at once is
+        // fine: the recorded direction — not the name — drives the gate.
         let text = r#"{
             "schema": "rshuffle-bench/1",
             "commit": "x",
@@ -1141,35 +1094,5 @@ mod tests {
         }"#;
         let err = ParsedReport::parse(text).unwrap_err();
         assert!(err.contains("no direction entry"), "got: {err}");
-    }
-
-    #[test]
-    fn old_baseline_without_directions_still_parses() {
-        // BENCH_0006-era files carry no `directions` field; unambiguous
-        // names fall back to inference.
-        let text = r#"{
-            "schema": "rshuffle-bench/1",
-            "commit": "x",
-            "benches": [{
-                "bench": "b",
-                "config": {},
-                "results": [{
-                    "id": "r",
-                    "metrics": {"p99_ns": 1.0, "agg_mbps": 2.0},
-                    "stages": {}
-                }]
-            }]
-        }"#;
-        let parsed = ParsedReport::parse(text).expect("old format parses");
-        let dir = |name: &str| {
-            parsed
-                .metrics
-                .iter()
-                .find(|m| m.key.2 == name)
-                .unwrap()
-                .direction
-        };
-        assert_eq!(dir("p99_ns"), Direction::LowerIsBetter);
-        assert_eq!(dir("agg_mbps"), Direction::HigherIsBetter);
     }
 }

@@ -1,14 +1,20 @@
-//! Validates the committed perf baseline `BENCH_0008.json`: it must
-//! parse under the current `rshuffle-bench/1` schema, cover the full
-//! smoke matrix (six algorithms at both concurrency levels and both
-//! message sizes), carry explicit metric directions, and — trivially —
-//! show zero regressions when diffed against itself. If a schema change
-//! ever breaks this test, re-record the baseline with `perfdiff
-//! --record BENCH_0008.json` in the same commit. The previous baseline
-//! `BENCH_0006.json` predates the `directions` field and stays in the
-//! repo as real-data coverage of the name-inference fallback.
+//! Validates the committed perf baselines. Every live baseline — the
+//! ones `ci.sh` gates against — must parse under the current
+//! `rshuffle-bench/1` schema (explicit metric directions included) and
+//! show zero regressions when diffed against itself. `BENCH_0008.json`
+//! must also cover the full smoke matrix (six algorithms at both
+//! concurrency levels and both message sizes). If a schema change ever
+//! breaks this test, re-record the affected baseline with `perfdiff
+//! --record` in the same commit.
 
 use rshuffle_bench::perf::{diff_reports, Direction, ParsedReport, SCHEMA};
+
+/// Every baseline `ci.sh` gates a `perfdiff` run against.
+const LIVE_BASELINES: [&str; 3] = [
+    "BENCH_0008.json",
+    "BENCH_0010.json",
+    "BENCH_SCALE_0010.json",
+];
 
 fn read_baseline(name: &str) -> String {
     let path = format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"));
@@ -82,41 +88,21 @@ fn committed_baseline_gates_hot_path_stage_latencies() {
 }
 
 #[test]
-fn baseline_diffed_against_itself_has_no_regressions() {
-    let report = ParsedReport::parse(&baseline_text()).expect("baseline parses");
-    let lines = diff_reports(&report, &report, 10.0);
-    assert_eq!(lines.len(), report.metrics.len());
-    for l in lines {
-        assert!(
-            !l.regressed,
-            "self-diff regressed on {}/{} {}",
-            l.bench, l.id, l.metric
-        );
-        assert_eq!(l.delta_pct, 0.0);
-    }
-}
-
-#[test]
-fn previous_baseline_parses_via_direction_inference() {
-    // BENCH_0006.json predates the explicit `directions` field: parsing
-    // it exercises the name-inference fallback on real recorded data,
-    // and every metric it carries must come out with the direction the
-    // old hard-coded table would have assigned.
-    let report =
-        ParsedReport::parse(&read_baseline("BENCH_0006.json")).expect("old baseline parses");
-    assert!(!report.metrics.is_empty());
-    for m in &report.metrics {
-        let want = if m.key.2.ends_with("_ns") {
-            Direction::LowerIsBetter
-        } else if m.key.2.contains("mbps") || m.key.2.contains("gib_per_sec") {
-            Direction::HigherIsBetter
-        } else {
-            Direction::Informational
-        };
-        assert_eq!(
-            m.direction, want,
-            "inference mis-assigned {} in the old baseline",
-            m.key.2
-        );
+fn every_live_baseline_diffed_against_itself_has_no_regressions() {
+    for name in LIVE_BASELINES {
+        let report = ParsedReport::parse(&read_baseline(name))
+            .unwrap_or_else(|e| panic!("{name} parses: {e}"));
+        assert_eq!(report.schema, SCHEMA, "{name}");
+        assert!(!report.metrics.is_empty(), "{name} carries no metrics");
+        let lines = diff_reports(&report, &report, 10.0);
+        assert_eq!(lines.len(), report.metrics.len(), "{name}");
+        for l in lines {
+            assert!(
+                !l.regressed,
+                "{name}: self-diff regressed on {}/{} {}",
+                l.bench, l.id, l.metric
+            );
+            assert_eq!(l.delta_pct, 0.0, "{name}");
+        }
     }
 }

@@ -1,13 +1,12 @@
-//! Partial-failure recovery: epoch-fenced per-flow retry, QP reconnect
-//! with backoff, and graceful algorithm degradation.
+//! Query recovery: the one coordinator every shuffle query runs under.
 //!
-//! The [`crate::restart`] orchestrator answers every transient failure
-//! the same way: discard the whole attempt and replay the query from
-//! row zero. That is the paper's §4.4.2 contract and it is always
-//! correct, but it is also maximally wasteful — a single failed Queue
-//! Pair forces every healthy flow in the cluster to redo work it had
-//! already delivered. This module adds three finer-grained rungs below
-//! the full restart:
+//! The shuffling operators never retransmit: when the transport loses
+//! data (UD message loss), a Queue Pair fails, or flow control stops
+//! making progress, every endpoint surfaces a typed [`ShuffleError`]
+//! instead of hanging. This module is the layer above that contract — a
+//! coordinator that runs a cluster-wide shuffle as a series of
+//! *attempts*, collects every worker's result, and answers a transient
+//! failure by climbing a ladder of four rungs, cheapest first:
 //!
 //! 1. **Epoch-fenced per-flow retry.** Receivers track a delivered-row
 //!    watermark per flow (`(source node, source thread, destination
@@ -32,16 +31,27 @@
 //!    UD design that does not depend on the broken connections — and
 //!    resumes *mid-query* on the sturdier algorithm, still keeping the
 //!    watermarked rows (every design delivers the same row set per
-//!    destination). Only when the ladder and budgets are exhausted does
-//!    the query escalate to the classic full restart.
+//!    destination).
+//! 4. **Full restart** (the paper's §4.4.2 answer to every failure):
+//!    discard the whole attempt, bump the generation and replay the
+//!    query from row zero after a capped exponential backoff. Loss that
+//!    is not QP-shaped, multicast plans and exhausted partial budgets
+//!    land here directly; `RecoveryPolicy { max_partial_retries: 0, .. }`
+//!    turns rungs 1–3 off and leaves only this one.
+//!
+//! Scheduled queries ([`crate::workload::run_workload`]) run through the
+//! same loop: every attempt's exchange is admitted by the multi-query
+//! scheduler before it is built and released once the attempt's outcome
+//! is known, so a retrying query returns its registered memory and
+//! re-enters admission, sized for the design it resumes on.
 //!
 //! All recovery activity is observable: `engine.partial_retries`,
-//! `engine.qp_reconnects`, `engine.degraded`, `engine.kept_bytes` and
-//! `engine.redone_bytes` counters, plus `partial_retry`, `qp_reconnect`,
-//! `flow_resumed`, `query_degraded` flight-recorder events on the
-//! coordinator track. On a healthy run none of this machinery executes
-//! and the wire traffic is byte-identical to the pre-recovery stack
-//! (epoch 0 in every header).
+//! `engine.qp_reconnects`, `engine.degraded`, `engine.restarts`,
+//! `engine.kept_bytes`, `engine.redone_bytes` and `engine.recovery_ns`
+//! counters, plus `partial_retry`, `qp_reconnect`, `query_degraded`,
+//! `query_restart` and `query_recovered` flight-recorder events on the coordinator track. On a healthy run
+//! none of this machinery executes and the wire traffic carries epoch 0
+//! in every header.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -49,19 +59,20 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rshuffle::{
     CostModel, EndpointImpl, Exchange, ExchangeConfig, Operator, RowBatch, ShuffleAlgorithm,
-    ShuffleError, ShuffleOperator,
+    ShuffleError, ShuffleOperator, StreamState,
 };
 use rshuffle_obs::{names, EventKind, Labels};
 use rshuffle_simnet::{Gate, NodeId, SimContext, SimDuration};
 use rshuffle_verbs::{ConnectionManager, QpType, RecvWr, SendWr, VerbsRuntime, WcStatus};
-
-use crate::restart::{restartable, spawn_worker, WorkerResult};
 
 /// Payload bytes pushed through a probe QP to prove the fabric carries
 /// traffic again.
 const PROBE_BYTES: usize = 64;
 /// Polling cadence while waiting for the probe send completion.
 const PROBE_POLL: SimDuration = SimDuration::from_micros(2);
+/// How long one probe waits for its send completion before counting the
+/// attempt as failed.
+const PROBE_TIMEOUT: SimDuration = SimDuration::from_micros(200);
 /// Endpoint-id distance between consecutive rebuild attempts of one
 /// query, so a retried flow never aliases a fenced-off attempt's ids.
 const ATTEMPT_ID_STRIDE: u32 = 4096;
@@ -160,6 +171,9 @@ pub fn degrade(algorithm: ShuffleAlgorithm) -> Option<ShuffleAlgorithm> {
 }
 
 /// Retry policy for [`run_shuffle_with_recovery`].
+///
+/// `max_partial_retries: 0` turns rungs 1–3 off: every transient failure
+/// then takes the full restart, the paper's §4.4.2 behaviour.
 #[derive(Clone, Copy, Debug)]
 pub struct RecoveryPolicy {
     /// Partial (same-generation) retries before escalating to a full
@@ -173,12 +187,6 @@ pub struct RecoveryPolicy {
     pub initial_backoff: SimDuration,
     /// Backoff cap.
     pub max_backoff: SimDuration,
-    /// How long one probe waits for its send completion before counting
-    /// the attempt as failed.
-    pub probe_timeout: SimDuration,
-    /// Whether the query may step down the [`degrade`] ladder when the
-    /// reconnect budget is exhausted.
-    pub allow_degradation: bool,
     /// Full restarts (discard everything, new generation) before the
     /// query gives up.
     pub max_full_restarts: u32,
@@ -191,8 +199,6 @@ impl Default for RecoveryPolicy {
             reconnect_budget: 5,
             initial_backoff: SimDuration::from_micros(50),
             max_backoff: SimDuration::from_millis(1),
-            probe_timeout: SimDuration::from_micros(200),
-            allow_degradation: true,
             max_full_restarts: 2,
         }
     }
@@ -215,7 +221,7 @@ pub struct RecoveryReport {
     /// The design the query finished (or gave up) on.
     pub final_algorithm: ShuffleAlgorithm,
     /// Full restarts performed (generation bumps that discarded work).
-    pub full_restarts: u32,
+    pub restarts: u32,
     /// The surviving generation; sinks must discard batches tagged with
     /// any earlier generation.
     pub generation: u32,
@@ -243,7 +249,7 @@ impl RecoveryReport {
             qp_reconnects: 0,
             degradations: Vec::new(),
             final_algorithm: algorithm,
-            full_restarts: 0,
+            restarts: 0,
             generation: 0,
             redone_bytes: 0,
             kept_bytes: 0,
@@ -323,6 +329,22 @@ fn qp_shaped(e: &ShuffleError, runtime: &VerbsRuntime) -> bool {
     ) && !runtime.failed_qp_nodes().is_empty()
 }
 
+/// Whether an error is worth a fresh attempt. Configuration errors and
+/// impossible memory budgets are deterministic and would fail
+/// identically; everything else (message loss, stalls, completion
+/// errors, verbs failures) is transient fabric state that a rebuilt
+/// exchange escapes.
+fn restartable(e: &ShuffleError) -> bool {
+    !matches!(
+        e,
+        ShuffleError::Config(_) | ShuffleError::BudgetImpossible { .. }
+    )
+}
+
+/// Per-worker result of one attempt: the error that ended the worker,
+/// if any.
+type WorkerResult = Result<(), ShuffleError>;
+
 /// Shared factory producing the source operator for a (generation,
 /// node). Partial retries reuse the generation, so the factory must be
 /// deterministic: the same `(generation, node)` yields the same rows in
@@ -335,17 +357,67 @@ type GenSourceFactory = Arc<dyn Fn(u32, NodeId) -> Arc<dyn Operator> + Send + Sy
 /// earlier generations.
 type GenSink = Arc<dyn Fn(u32, NodeId, usize, &RowBatch) + Send + Sync>;
 
+/// How one attempt ended, as seen by [`AttemptHooks::after_attempt`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum AttemptEnd {
+    /// The attempt delivered the query to completion.
+    Success,
+    /// The attempt failed and another one follows (partial resume,
+    /// degraded rebuild or full restart).
+    Retry,
+    /// The attempt failed and the query gives up.
+    Failure,
+}
+
+/// Hook run before each attempt's exchange is built, with the attempt's
+/// own config; an `Err` fails the query without building it.
+type BeforeAttempt = Box<dyn Fn(&SimContext, &ExchangeConfig) -> Result<(), ShuffleError> + Send>;
+/// Hook run once an attempt's outcome is known.
+type AfterAttempt = Box<dyn Fn(&SimContext, AttemptEnd) + Send>;
+
+/// Per-attempt callbacks: the seam the multi-query scheduler plugs into.
+/// `before_attempt` admits (and may block in virtual time);
+/// `after_attempt` releases. Every [`Exchange::build`] — first attempt,
+/// partial resume, degraded rebuild, full restart — sits between one
+/// call of each.
+pub(crate) struct AttemptHooks {
+    pub(crate) before_attempt: BeforeAttempt,
+    pub(crate) after_attempt: AfterAttempt,
+}
+
+impl Default for AttemptHooks {
+    fn default() -> Self {
+        AttemptHooks {
+            before_attempt: Box::new(|_, _| Ok(())),
+            after_attempt: Box::new(|_, _| {}),
+        }
+    }
+}
+
+/// What the coordinator does after a failed attempt.
+enum Next {
+    /// Rebuild under a bumped epoch, keeping the delivered watermarks
+    /// (rungs 1–3).
+    Resume,
+    /// Discard the generation and replay from row zero (rung 4).
+    Restart,
+    /// Give up with this error.
+    GiveUp(ShuffleError),
+}
+
 /// Runs a cluster-wide shuffle query under `policy`, recovering from
-/// partial failures without discarding delivered work where possible.
+/// failures without discarding delivered work where possible.
 ///
 /// The coordinator (a simulated thread on node 0) builds an
-/// [`Exchange`] from `config` and drives it like
-/// [`crate::restart::run_shuffle_with_restart`], but on a QP-shaped
-/// failure it (1) probes the failed node with reconnect-with-backoff,
-/// (2) resumes the query under a bumped epoch with senders fast-
-/// forwarded past the delivered watermarks, (3) steps down the
-/// [`degrade`] ladder when the reconnect budget is exhausted, and only
-/// then (4) escalates to a generation-bumping full restart.
+/// [`Exchange`] from `config`, spawns `config.threads` send workers per
+/// node pumping `make_source(generation, node)` through the shuffle
+/// operator and `config.threads` receive workers per node streaming
+/// `row_size`-byte rows into `sink`, and blocks until every worker
+/// reports. On a QP-shaped failure it (1) probes the failed node with
+/// reconnect-with-backoff, (2) resumes the query under a bumped epoch
+/// with senders fast-forwarded past the delivered watermarks, (3) steps
+/// down the [`degrade`] ladder when the reconnect budget is exhausted,
+/// and only then (4) escalates to a generation-bumping full restart.
 ///
 /// `sink` receives `(generation, node, tid, batch)`; rows are delivered
 /// exactly once per generation and only the final generation (see
@@ -361,15 +433,34 @@ pub fn run_shuffle_with_recovery(
     make_source: impl Fn(u32, NodeId) -> Arc<dyn Operator> + Send + Sync + 'static,
     sink: impl Fn(u32, NodeId, usize, &RowBatch) + Send + Sync + 'static,
 ) -> Arc<Mutex<RecoveryReport>> {
+    run_with_hooks(
+        runtime,
+        config,
+        policy,
+        row_size,
+        Arc::new(make_source),
+        Arc::new(sink),
+        AttemptHooks::default(),
+    )
+}
+
+/// [`run_shuffle_with_recovery`] with per-attempt [`AttemptHooks`].
+pub(crate) fn run_with_hooks(
+    runtime: &Arc<VerbsRuntime>,
+    config: &ExchangeConfig,
+    policy: RecoveryPolicy,
+    row_size: usize,
+    make_source: GenSourceFactory,
+    sink: GenSink,
+    hooks: AttemptHooks,
+) -> Arc<Mutex<RecoveryReport>> {
     let report = Arc::new(Mutex::new(RecoveryReport::new(config.algorithm)));
     let out = report.clone();
     let runtime = runtime.clone();
     let config = config.clone();
-    let make_source: GenSourceFactory = Arc::new(make_source);
-    let sink: GenSink = Arc::new(sink);
     let cluster = runtime.cluster().clone();
     let obs = cluster.obs().clone();
-    cluster.clone().spawn(0, "recovery-coordinator", move |sim| {
+    cluster.clone().spawn(0, "query-coordinator", move |sim| {
         let cost = CostModel::from_profile(runtime.profile());
         let m = &obs.metrics;
         let partial_ctr = m.counter(names::ENGINE_PARTIAL_RETRIES, Labels::node(0));
@@ -398,16 +489,23 @@ pub fn run_shuffle_with_recovery(
             attempt_cfg.endpoint_id_base = config
                 .endpoint_id_base
                 .wrapping_add(rebuilds.wrapping_mul(ATTEMPT_ID_STRIDE));
+            // Admission (may block in virtual time); a hook error fails
+            // the query before any resource is built.
+            if let Err(e) = (hooks.before_attempt)(&sim, &attempt_cfg) {
+                rep.failure = Some(e);
+                break;
+            }
             let attempt_started = sim.now();
             let exchange = match Exchange::build(&runtime, &attempt_cfg) {
                 Ok(ex) => ex,
                 Err(e) => {
+                    (hooks.after_attempt)(&sim, AttemptEnd::Failure);
                     rep.failure = Some(e);
                     break;
                 }
             };
             let done: Gate<WorkerResult> = Gate::new(cluster.kernel(), SimDuration::ZERO);
-            let expected = spawn_recovery_attempt(
+            let expected = spawn_attempt(
                 &cluster,
                 &exchange,
                 &attempt_cfg,
@@ -424,15 +522,13 @@ pub fn run_shuffle_with_recovery(
             let mut first_err: Option<ShuffleError> = None;
             for _ in 0..expected {
                 if let Err(e) = done.recv(&sim) {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
+                    first_err.get_or_insert(e);
                 }
             }
             obs.recorder.span(
                 0,
                 track,
-                &format!("recovery-attempt:g{generation}e{epoch}"),
+                &format!("query-attempt:{rebuilds}"),
                 attempt_started.as_nanos(),
                 sim.now().as_nanos(),
             );
@@ -442,48 +538,45 @@ pub fn run_shuffle_with_recovery(
             // the scheduler's budget across a reconnect. A no-op for
             // untagged exchanges.
             exchange.release(&runtime);
-            let e = match first_err {
-                None => {
-                    let per_gen = accounting.per_generation.lock();
-                    let (rows, bytes) = per_gen.get(&generation).copied().unwrap_or((0, 0));
-                    rep.rows = rows;
-                    rep.bytes = bytes;
-                    rep.generation = generation;
-                    rep.final_algorithm = algorithm;
-                    rep.redone_bytes = per_gen
-                        .iter()
-                        .filter(|(g, _)| **g != generation)
-                        .map(|(_, v)| v.1)
-                        .sum::<u64>()
-                        + *accounting.dedup_dropped_bytes.lock();
-                    redone_ctr.add(rep.redone_bytes);
-                    if let Some(at) = first_failure {
-                        let recovery = sim.now() - at;
-                        rep.recovery = Some(recovery);
-                        recovery_ctr.add(recovery.as_nanos());
-                        obs.recorder.event(
-                            0,
-                            track,
-                            sim.now().as_nanos(),
-                            EventKind::QueryRecovered,
-                            recovery.as_nanos(),
-                        );
-                    }
-                    break;
+            let Some(e) = first_err else {
+                let per_gen = accounting.per_generation.lock();
+                let (rows, bytes) = per_gen.get(&generation).copied().unwrap_or((0, 0));
+                rep.rows = rows;
+                rep.bytes = bytes;
+                rep.generation = generation;
+                rep.final_algorithm = algorithm;
+                rep.redone_bytes = per_gen
+                    .iter()
+                    .filter(|(g, _)| **g != generation)
+                    .map(|(_, v)| v.1)
+                    .sum::<u64>()
+                    + *accounting.dedup_dropped_bytes.lock();
+                redone_ctr.add(rep.redone_bytes);
+                if let Some(at) = first_failure {
+                    let recovery = sim.now() - at;
+                    rep.recovery = Some(recovery);
+                    recovery_ctr.add(recovery.as_nanos());
+                    obs.recorder.event(
+                        0,
+                        track,
+                        sim.now().as_nanos(),
+                        EventKind::QueryRecovered,
+                        recovery.as_nanos(),
+                    );
                 }
-                Some(e) => e,
+                (hooks.after_attempt)(&sim, AttemptEnd::Success);
+                break;
             };
             first_failure.get_or_insert(sim.now());
             rep.attempt_errors.push(e.clone());
-            if !restartable(&e) {
-                rep.failure = Some(e);
-                break;
-            }
-            // Rung 1+2: probe-gated per-flow retry on a QP-shaped
-            // failure, while the partial budget lasts.
-            let mut resumed = false;
-            if eligible && rep.partial_retries < policy.max_partial_retries && qp_shaped(&e, &runtime)
+            let next = if !restartable(&e) {
+                Next::GiveUp(e)
+            } else if eligible
+                && rep.partial_retries < policy.max_partial_retries
+                && qp_shaped(&e, &runtime)
             {
+                // Rung 1+2: probe-gated per-flow retry on a QP-shaped
+                // failure, while the partial budget lasts.
                 let probed = probe_failed_nodes(
                     &sim,
                     &runtime,
@@ -496,42 +589,48 @@ pub fn run_shuffle_with_recovery(
                     &mut rep.qp_reconnects,
                 );
                 match probed {
-                    Ok(()) => resumed = true,
+                    Ok(()) => Next::Resume,
                     Err(budget_err) => {
+                        rep.attempt_errors.push(budget_err.clone());
                         // Rung 3: the fabric would not come back — step
                         // down the ladder and resume on a design that
                         // does not need the broken resource.
-                        rep.attempt_errors.push(budget_err.clone());
-                        match degrade(algorithm) {
-                            Some(next) if policy.allow_degradation => {
-                                algorithm = next;
-                                rep.degradations.push(next);
-                                degraded_ctr.inc();
-                                obs.recorder.event(
-                                    0,
-                                    track,
-                                    sim.now().as_nanos(),
-                                    EventKind::QueryDegraded,
-                                    algo_code(next),
-                                );
-                                runtime.clear_failed_qp_nodes();
-                                resumed = true;
-                            }
-                            _ => {
-                                if rep.full_restarts >= policy.max_full_restarts {
-                                    rep.failure = Some(budget_err);
-                                    break;
-                                }
-                            }
+                        if let Some(next) = degrade(algorithm) {
+                            algorithm = next;
+                            rep.degradations.push(next);
+                            degraded_ctr.inc();
+                            obs.recorder.event(
+                                0,
+                                track,
+                                sim.now().as_nanos(),
+                                EventKind::QueryDegraded,
+                                algo_code(next),
+                            );
+                            runtime.clear_failed_qp_nodes();
+                            Next::Resume
+                        } else if rep.restarts < policy.max_full_restarts {
+                            Next::Restart
+                        } else {
+                            Next::GiveUp(budget_err)
                         }
                     }
                 }
+            } else if rep.restarts < policy.max_full_restarts {
+                Next::Restart
+            } else {
+                Next::GiveUp(e)
+            };
+            if let Next::GiveUp(e) = next {
+                (hooks.after_attempt)(&sim, AttemptEnd::Failure);
+                rep.failure = Some(e);
+                break;
             }
-            if resumed {
+            (hooks.after_attempt)(&sim, AttemptEnd::Retry);
+            epoch = epoch.wrapping_add(1);
+            rebuilds += 1;
+            if let Next::Resume = next {
                 rep.partial_retries += 1;
                 partial_ctr.inc();
-                epoch = epoch.wrapping_add(1);
-                rebuilds += 1;
                 let kept = ledger.total_rows() * row_size as u64;
                 rep.kept_bytes += kept;
                 kept_ctr.add(kept);
@@ -546,16 +645,10 @@ pub fn run_shuffle_with_recovery(
                 backoff.reset();
                 continue;
             }
-            // Rung 4: classic full restart — discard the generation.
-            if rep.full_restarts >= policy.max_full_restarts {
-                rep.failure = Some(e);
-                break;
-            }
-            rep.full_restarts += 1;
+            // Rung 4: full restart — discard the generation.
+            rep.restarts += 1;
             restarts_ctr.inc();
             generation += 1;
-            epoch = epoch.wrapping_add(1);
-            rebuilds += 1;
             ledger.clear();
             accounting.pending_drops.lock().clear();
             runtime.clear_failed_qp_nodes();
@@ -564,7 +657,7 @@ pub fn run_shuffle_with_recovery(
                 track,
                 sim.now().as_nanos(),
                 EventKind::QueryRestart,
-                rep.full_restarts as u64,
+                rep.restarts as u64,
             );
             sim.sleep(backoff.next());
         }
@@ -622,7 +715,7 @@ fn probe_failed_nodes(
                 EventKind::QpReconnect,
                 attempts as u64,
             );
-            if probe_once(sim, &qa, &qb, &send_cq, &mr_a, &mr_b, policy.probe_timeout).is_ok() {
+            if probe_once(sim, &qa, &qb, &send_cq, &mr_a, &mr_b).is_ok() {
                 healthy = true;
                 break;
             }
@@ -650,7 +743,6 @@ fn probe_once(
     send_cq: &rshuffle_verbs::CompletionQueue,
     mr_a: &rshuffle_verbs::MemoryRegion,
     mr_b: &rshuffle_verbs::MemoryRegion,
-    timeout: SimDuration,
 ) -> Result<(), ShuffleError> {
     ConnectionManager::reconnect_rc(sim, qa, qb.address_handle())?;
     ConnectionManager::reconnect_rc(sim, qb, qa.address_handle())?;
@@ -674,7 +766,7 @@ fn probe_once(
             ah: None,
         },
     )?;
-    let deadline = sim.now() + timeout;
+    let deadline = sim.now() + PROBE_TIMEOUT;
     loop {
         if let Some(c) = send_cq.poll(sim, 1).into_iter().next() {
             return if c.status == WcStatus::Success {
@@ -722,13 +814,13 @@ fn seed_pending_drops(
     }
 }
 
-/// Spawns send and receive workers for one recovery attempt; returns
-/// how many results the coordinator must collect. Senders are seeded
+/// Spawns send and receive workers for one attempt; returns how many
+/// results the coordinator must collect. Senders are seeded
 /// with resume skips from the ledger (all zero on a fresh generation);
 /// receivers track per-flow watermarks and deliver straight to the
 /// generation-tagged sink.
 #[allow(clippy::too_many_arguments)]
-fn spawn_recovery_attempt(
+fn spawn_attempt(
     cluster: &rshuffle_simnet::Cluster,
     exchange: &Exchange,
     config: &ExchangeConfig,
@@ -776,14 +868,25 @@ fn spawn_recovery_attempt(
             }
             let op: Arc<dyn Operator> = Arc::new(shuffle);
             for tid in 0..threads {
-                let name = format!("r{rebuild}-shuffle-{node}-{tid}");
-                spawn_worker(cluster, node, &name, op.clone(), tid, None, done.clone());
+                let name = format!("a{rebuild}-shuffle-{node}-{tid}");
+                let op = op.clone();
+                let done = done.clone();
+                cluster.spawn(node, &name, move |sim: SimContext| {
+                    let result = loop {
+                        match op.next(&sim, tid) {
+                            Ok((StreamState::Depleted, _)) => break Ok(()),
+                            Ok(_) => {}
+                            Err(e) => break Err(e),
+                        }
+                    };
+                    done.push(result);
+                });
                 expected += 1;
             }
         }
         if !exchange.recv[node].is_empty() {
             for tid in 0..threads {
-                let name = format!("r{rebuild}-recv-{node}-{tid}");
+                let name = format!("a{rebuild}-recv-{node}-{tid}");
                 let ep = exchange.recv[node][tid % exchange.recv[node].len()].clone();
                 let sink = sink.clone();
                 let ledger = ledger.clone();
@@ -791,7 +894,7 @@ fn spawn_recovery_attempt(
                 let cost = cost.clone();
                 let done = done.clone();
                 cluster.spawn(node, &name, move |sim: SimContext| {
-                    let result = recovery_recv_loop(
+                    let result = recv_loop(
                         &sim, &ep, node, tid, generation, base, lanes, row_size, &cost, &sink,
                         &ledger, &accounting,
                     );
@@ -804,13 +907,13 @@ fn spawn_recovery_attempt(
     expected
 }
 
-/// The recovery receive worker: pulls deliveries straight off the
-/// endpoint (no [`rshuffle::ReceiveOperator`] — watermarks are per
-/// flow, which batching would blur), drops any leading duplicate rows
-/// the dedup guard demands, hands unique rows to the sink and advances
-/// the flow's watermark.
+/// The receive worker: pulls deliveries straight off the endpoint (no
+/// [`rshuffle::ReceiveOperator`] — watermarks are per flow, which
+/// batching would blur), drops any leading duplicate rows the dedup
+/// guard demands, hands unique rows to the sink and advances the flow's
+/// watermark.
 #[allow(clippy::too_many_arguments)]
-fn recovery_recv_loop(
+fn recv_loop(
     sim: &SimContext,
     ep: &Arc<dyn rshuffle::ReceiveEndpoint>,
     node: NodeId,
@@ -824,13 +927,7 @@ fn recovery_recv_loop(
     ledger: &Arc<FlowLedger>,
     accounting: &Arc<RecvAccounting>,
 ) -> WorkerResult {
-    let mut rows = 0u64;
-    let mut bytes = 0u64;
-    loop {
-        let delivery = match ep.get_data(sim)? {
-            Some(d) => d,
-            None => return Ok((rows, bytes)),
-        };
+    while let Some(delivery) = ep.get_data(sim)? {
         let len = delivery.local.len();
         if len % row_size != 0 {
             return Err(ShuffleError::Config(format!(
@@ -871,10 +968,9 @@ fn recovery_recv_loop(
             let entry = per_gen.entry(generation).or_insert((0, 0));
             entry.0 += n;
             entry.1 += b;
-            rows += n;
-            bytes += b;
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -939,7 +1035,7 @@ mod tests {
         let rep = report.lock();
         assert!(rep.succeeded(), "failure: {:?}", rep.failure);
         assert_eq!(rep.partial_retries, 0);
-        assert_eq!(rep.full_restarts, 0);
+        assert_eq!(rep.restarts, 0);
         assert_eq!(rep.qp_reconnects, 0);
         assert_eq!(rep.redone_bytes, 0);
         assert_eq!(rep.kept_bytes, 0);

@@ -1,29 +1,28 @@
 //! Multi-query workload driver: runs N shuffle queries through the
 //! admission scheduler on one simulated cluster.
 //!
-//! Each query gets its own coordinator (the restart orchestrator of
-//! [`crate::restart`]) whose per-attempt hooks go through
-//! [`Scheduler::admit`] / [`Scheduler::release`]: every attempt —
-//! including a restart after a transient failure — re-enters admission
-//! at the back of the queue, returns its registered memory, and gives
-//! its fairness weight back while backing off. Queries are isolated on
-//! the shared fabric by their [`FlowId`] (the query id) and by disjoint
-//! endpoint-id spaces ([`ENDPOINT_ID_STRIDE`]).
+//! Each query gets its own coordinator — the recovery loop of
+//! [`crate::recovery`], with the same partial-retry, reconnect,
+//! degradation and full-restart rungs as an unscheduled query — whose
+//! per-attempt hooks go through [`Scheduler::admit`] /
+//! [`Scheduler::release`]. Every attempt (the first, each partial
+//! resume, each degraded rebuild and each full restart) is admitted
+//! with the memory its own design registers, and once its outcome is
+//! known it returns that memory and its fairness weight; a retrying
+//! attempt re-enters admission at the back of the queue. Queries are
+//! isolated on the shared fabric by their [`FlowId`] (the query id) and
+//! by disjoint endpoint-id spaces ([`ENDPOINT_ID_STRIDE`]).
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rshuffle::{
-    Advice, AdvisorSignals, AlgorithmAdvisor, ExchangeConfig, Operator, RowBatch, ShuffleError,
-};
+use rshuffle::{Advice, AdvisorSignals, AlgorithmAdvisor, ExchangeConfig, Operator, RowBatch};
 use rshuffle_obs::EventKind;
 use rshuffle_sched::{Admission, QueryRequest, ReleaseOutcome, Scheduler};
-use rshuffle_simnet::{FlowId, NodeId, SimDuration, SimTime};
+use rshuffle_simnet::{FlowId, NodeId, SimContext, SimDuration, SimTime};
 use rshuffle_verbs::VerbsRuntime;
 
-use crate::restart::{
-    run_shuffle_with_restart_hooks, AttemptEnd, AttemptHooks, QueryReport, RestartPolicy,
-};
+use crate::recovery::{run_with_hooks, AttemptEnd, AttemptHooks, RecoveryPolicy, RecoveryReport};
 
 /// Gap between the endpoint-id spaces of consecutive query ids: room
 /// for 32768 endpoints per query, far above any simulated plan.
@@ -38,8 +37,8 @@ pub struct QuerySpec {
     /// The exchange to run. `flow` and `endpoint_id_base` are
     /// overwritten from `id`.
     pub config: ExchangeConfig,
-    /// Restart policy for transient failures.
-    pub policy: RestartPolicy,
+    /// Recovery policy for transient failures.
+    pub policy: RecoveryPolicy,
     /// Row size streamed by the receive operators.
     pub row_size: usize,
     /// Weighted-fair bandwidth weight (1 = equal share).
@@ -49,12 +48,12 @@ pub struct QuerySpec {
 }
 
 impl QuerySpec {
-    /// A weight-1, priority-0 query with the default restart policy.
+    /// A weight-1, priority-0 query with the default recovery policy.
     pub fn new(id: u32, config: ExchangeConfig, row_size: usize) -> Self {
         QuerySpec {
             id,
             config,
-            policy: RestartPolicy::default(),
+            policy: RecoveryPolicy::default(),
             row_size,
             weight: 1,
             priority: 0,
@@ -169,8 +168,8 @@ impl QueryTiming {
 pub struct WorkloadHandle {
     /// The query id.
     pub query: u32,
-    /// The restart orchestrator's report (rows, restarts, failure).
-    pub report: Arc<Mutex<QueryReport>>,
+    /// The recovery coordinator's report (rows, restarts, failure).
+    pub report: Arc<Mutex<RecoveryReport>>,
     /// Scheduler-side timing milestones.
     pub timing: Arc<Mutex<QueryTiming>>,
 }
@@ -179,10 +178,11 @@ pub struct WorkloadHandle {
 /// cluster. Returns one handle per query (same order); results are
 /// valid after `runtime.cluster().run()`.
 ///
-/// `make_source(query, attempt, node)` builds the source operator and
-/// `sink(query, attempt, node, tid, batch)` receives every delivered
-/// batch — per-query, so sinks can keep attempt outputs apart exactly
-/// like [`crate::restart::run_shuffle_with_restart`] does per attempt.
+/// `make_source(query, generation, node)` builds the source operator
+/// and `sink(query, generation, node, tid, batch)` receives every
+/// delivered batch — per-query, so sinks can keep generations apart
+/// exactly like [`crate::recovery::run_shuffle_with_recovery`] does:
+/// only [`RecoveryReport::generation`] survives.
 pub fn run_workload(
     runtime: &Arc<VerbsRuntime>,
     scheduler: &Arc<Scheduler>,
@@ -200,25 +200,26 @@ pub fn run_workload(
         let mut config = spec.config.clone();
         config.flow = FlowId(spec.id);
         config.endpoint_id_base = spec.id * ENDPOINT_ID_STRIDE;
-        let request = QueryRequest {
-            id: spec.id,
-            weight: spec.weight,
-            priority: spec.priority,
-            mem_per_node: (0..nodes)
-                .map(|n| config.registered_bytes_estimate(runtime.profile(), n))
-                .collect(),
-        };
         let timing = Arc::new(Mutex::new(QueryTiming::default()));
         let slot: Arc<Mutex<Option<Admission>>> = Arc::new(Mutex::new(None));
         let before = {
+            let runtime = runtime.clone();
             let scheduler = scheduler.clone();
             let timing = timing.clone();
             let slot = slot.clone();
-            Box::new(move |sim: &rshuffle_simnet::SimContext, _attempt: u32| {
-                {
-                    let mut t = timing.lock();
-                    t.submitted.get_or_insert(sim.now());
-                }
+            Box::new(move |sim: &SimContext, attempt: &ExchangeConfig| {
+                timing.lock().submitted.get_or_insert(sim.now());
+                // Sized from this attempt's own design: a degraded
+                // rebuild may register more than the design it replaces
+                // (MEMQ/RD → MEMQ/SR does).
+                let request = QueryRequest {
+                    id: spec.id,
+                    weight: spec.weight,
+                    priority: spec.priority,
+                    mem_per_node: (0..nodes)
+                        .map(|n| attempt.registered_bytes_estimate(runtime.profile(), n))
+                        .collect(),
+                };
                 let adm = scheduler.admit(sim, &request)?;
                 let mut t = timing.lock();
                 t.first_admitted.get_or_insert(adm.admitted_at);
@@ -226,55 +227,54 @@ pub fn run_workload(
                 t.admissions += 1;
                 drop(t);
                 *slot.lock() = Some(adm);
-                Ok::<(), ShuffleError>(())
+                Ok(())
             })
         };
         let after = {
             let scheduler = scheduler.clone();
             let timing = timing.clone();
-            let slot = slot.clone();
             let obs = runtime.obs().clone();
-            Box::new(
-                move |sim: &rshuffle_simnet::SimContext, _attempt: u32, end: &AttemptEnd<'_>| {
-                    // `before_attempt` always runs first and fills the
-                    // slot; a missing admission would mean the attempt
-                    // never started, so there is nothing to release.
-                    let Some(adm) = slot.lock().take() else {
-                        return;
-                    };
-                    let outcome = match end {
-                        AttemptEnd::Success => ReleaseOutcome::Completed,
-                        AttemptEnd::Retry(_) => ReleaseOutcome::Requeued,
-                        AttemptEnd::Failure(_) => ReleaseOutcome::Failed,
-                    };
-                    scheduler.release(sim, adm, outcome);
-                    if matches!(end, AttemptEnd::Success) {
-                        let mut t = timing.lock();
-                        t.completed = Some(sim.now());
-                        // Submission-to-completion latency feeds the
-                        // perf-trajectory percentile reports.
-                        if let (Some(done), Some(sub)) = (t.completed, t.submitted) {
-                            obs.metrics
-                                .histogram(
-                                    rshuffle_obs::names::ENGINE_QUERY_LATENCY_NS,
-                                    rshuffle_obs::Labels::GLOBAL,
-                                )
-                                .record((done - sub).as_nanos());
-                        }
+            Box::new(move |sim: &SimContext, end: AttemptEnd| {
+                // `before_attempt` always runs first and fills the
+                // slot; a missing admission would mean the attempt
+                // never started, so there is nothing to release.
+                let Some(adm) = slot.lock().take() else {
+                    return;
+                };
+                let outcome = match end {
+                    AttemptEnd::Success => ReleaseOutcome::Completed,
+                    AttemptEnd::Retry => ReleaseOutcome::Requeued,
+                    AttemptEnd::Failure => ReleaseOutcome::Failed,
+                };
+                scheduler.release(sim, adm, outcome);
+                if end == AttemptEnd::Success {
+                    let mut t = timing.lock();
+                    t.completed = Some(sim.now());
+                    // Submission-to-completion latency feeds the
+                    // perf-trajectory percentile reports.
+                    if let Some(latency) = t.latency() {
+                        obs.metrics
+                            .histogram(
+                                rshuffle_obs::names::ENGINE_QUERY_LATENCY_NS,
+                                rshuffle_obs::Labels::GLOBAL,
+                            )
+                            .record(latency.as_nanos());
                     }
-                },
-            )
+                }
+            })
         };
         let query = spec.id;
         let ms = make_source.clone();
         let sk = sink.clone();
-        let report = run_shuffle_with_restart_hooks(
+        let report = run_with_hooks(
             runtime,
             &config,
             spec.policy,
             spec.row_size,
-            move |attempt, node| ms(query, attempt, node),
-            move |attempt, node, tid, batch| sk(query, attempt, node, tid, batch),
+            Arc::new(move |generation, node| ms(query, generation, node)),
+            Arc::new(move |generation, node, tid, batch: &RowBatch| {
+                sk(query, generation, node, tid, batch)
+            }),
             AttemptHooks {
                 before_attempt: before,
                 after_attempt: after,
@@ -293,7 +293,7 @@ pub fn run_workload(
 mod tests {
     use super::*;
     use crate::ops::Generator;
-    use rshuffle::ShuffleAlgorithm;
+    use rshuffle::{ShuffleAlgorithm, ShuffleError};
     use rshuffle_sched::SchedulerConfig;
     use rshuffle_simnet::DeviceProfile;
 

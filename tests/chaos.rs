@@ -13,7 +13,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rshuffle_repro::engine::{run_shuffle_with_restart, Generator, QueryReport, RestartPolicy};
+use rshuffle_repro::engine::{
+    run_shuffle_with_recovery, Generator, RecoveryPolicy, RecoveryReport,
+};
 use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm, ShuffleError};
 use rshuffle_repro::simnet::{DeviceProfile, SimDuration};
 use rshuffle_repro::verbs::{FaultConfig, FaultPlan};
@@ -70,28 +72,30 @@ fn chaos_config(algorithm: ShuffleAlgorithm, plan: FaultPlan) -> ExchangeConfig 
     config
 }
 
-fn chaos_policy() -> RestartPolicy {
-    RestartPolicy {
-        max_restarts: 6,
+fn chaos_policy() -> RecoveryPolicy {
+    RecoveryPolicy {
+        max_partial_retries: 0,
+        max_full_restarts: 6,
         initial_backoff: us(50),
         max_backoff: SimDuration::from_millis(1),
+        ..RecoveryPolicy::default()
     }
 }
 
 struct ChaosRun {
-    report: QueryReport,
-    /// Rows delivered to any sink, keyed by attempt number.
+    report: RecoveryReport,
+    /// Rows delivered to any sink, keyed by generation.
     delivered: HashMap<u32, Vec<[u8; ROW]>>,
     snapshot: String,
     trace: String,
 }
 
-fn run_chaos(algorithm: ShuffleAlgorithm, plan: FaultPlan, policy: RestartPolicy) -> ChaosRun {
+fn run_chaos(algorithm: ShuffleAlgorithm, plan: FaultPlan, policy: RecoveryPolicy) -> ChaosRun {
     let config = chaos_config(algorithm, plan);
     let runtime = config.build_runtime(DeviceProfile::edr());
     let delivered: Arc<Mutex<HashMap<u32, Vec<[u8; ROW]>>>> = Arc::new(Mutex::new(HashMap::new()));
     let d = delivered.clone();
-    let report = run_shuffle_with_restart(
+    let report = run_shuffle_with_recovery(
         &runtime,
         &config,
         policy,
@@ -99,9 +103,9 @@ fn run_chaos(algorithm: ShuffleAlgorithm, plan: FaultPlan, policy: RestartPolicy
         |_, node| {
             Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>
         },
-        move |attempt, _, _, batch| {
+        move |generation, _, _, batch| {
             let mut map = d.lock();
-            let rows = map.entry(attempt).or_default();
+            let rows = map.entry(generation).or_default();
             for row in batch.iter() {
                 rows.push(row.try_into().expect("16-byte row"));
             }
@@ -155,7 +159,7 @@ fn every_algorithm_survives_every_fault_plan_exactly_once() {
             // generated multiset — no loss, no duplication.
             let mut got = run
                 .delivered
-                .get(&rep.restarts)
+                .get(&rep.generation)
                 .cloned()
                 .unwrap_or_default();
             got.sort_unstable();
@@ -213,12 +217,14 @@ fn unrecoverable_loss_returns_typed_error_not_a_hang() {
         let mut config = chaos_config(algorithm, FaultPlan::new());
         config.faults.ud_drop_probability = 0.35;
         let runtime = config.build_runtime(DeviceProfile::edr());
-        let policy = RestartPolicy {
-            max_restarts: 2,
+        let policy = RecoveryPolicy {
+            max_partial_retries: 0,
+            max_full_restarts: 2,
             initial_backoff: us(50),
             max_backoff: us(200),
+            ..RecoveryPolicy::default()
         };
-        let report = run_shuffle_with_restart(
+        let report = run_shuffle_with_recovery(
             &runtime,
             &config,
             policy,
@@ -250,12 +256,14 @@ fn marathon_receiver_pause_exhausts_restart_budget() {
     let plan = FaultPlan::new().receiver_pause(1, us(10), SimDuration::from_millis(40));
     let config = chaos_config(ShuffleAlgorithm::MEMQ_SR, plan);
     let runtime = config.build_runtime(DeviceProfile::edr());
-    let policy = RestartPolicy {
-        max_restarts: 1,
+    let policy = RecoveryPolicy {
+        max_partial_retries: 0,
+        max_full_restarts: 1,
         initial_backoff: us(50),
         max_backoff: us(200),
+        ..RecoveryPolicy::default()
     };
-    let report = run_shuffle_with_restart(
+    let report = run_shuffle_with_recovery(
         &runtime,
         &config,
         policy,

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rshuffle_repro::audit::AuditViolation;
 use rshuffle_repro::engine::{
-    run_shuffle_with_restart, run_workload, Generator, QueryReport, QuerySpec, RestartPolicy,
+    run_shuffle_with_recovery, run_workload, Generator, QuerySpec, RecoveryPolicy, RecoveryReport,
 };
 use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm};
 use rshuffle_repro::sched::{Scheduler, SchedulerConfig};
@@ -36,7 +36,7 @@ fn us(v: u64) -> SimDuration {
 /// One run of one algorithm: the query report, the rows the winning
 /// attempt delivered (sorted), and the auditor's final verdict.
 struct ConformanceRun {
-    report: QueryReport,
+    report: RecoveryReport,
     delivered: Vec<[u8; ROW]>,
     violations: Vec<AuditViolation>,
 }
@@ -62,21 +62,23 @@ fn run_conformance(algorithm: ShuffleAlgorithm, plan: FaultPlan, max_restarts: u
     let auditor = runtime.enable_audit();
     let delivered: Arc<Mutex<HashMap<u32, Vec<[u8; ROW]>>>> = Arc::new(Mutex::new(HashMap::new()));
     let d = delivered.clone();
-    let report = run_shuffle_with_restart(
+    let report = run_shuffle_with_recovery(
         &runtime,
         &config,
-        RestartPolicy {
-            max_restarts,
+        RecoveryPolicy {
+            max_partial_retries: 0,
+            max_full_restarts: max_restarts,
             initial_backoff: us(50),
             max_backoff: SimDuration::from_millis(1),
+            ..RecoveryPolicy::default()
         },
         ROW,
         |_, node| {
             Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>
         },
-        move |attempt, _, _, batch| {
+        move |generation, _, _, batch| {
             let mut map = d.lock();
-            let rows = map.entry(attempt).or_default();
+            let rows = map.entry(generation).or_default();
             for row in batch.iter() {
                 rows.push(row.try_into().expect("16-byte row"));
             }
@@ -87,7 +89,7 @@ fn run_conformance(algorithm: ShuffleAlgorithm, plan: FaultPlan, max_restarts: u
     let violations = auditor.finalize(report.succeeded());
     let mut delivered = delivered
         .lock()
-        .get(&report.restarts)
+        .get(&report.generation)
         .cloned()
         .unwrap_or_default();
     delivered.sort_unstable();
@@ -225,8 +227,8 @@ fn two_queries_share_the_fabric_cleanly() {
             let runtime = config.build_runtime(DeviceProfile::edr());
             let auditor = runtime.enable_audit();
             let scheduler = Scheduler::new(&runtime, SchedulerConfig::default());
-            type PerAttempt = HashMap<(u32, u32), Vec<[u8; ROW]>>;
-            let delivered: Arc<Mutex<PerAttempt>> = Arc::new(Mutex::new(HashMap::new()));
+            type PerGeneration = HashMap<(u32, u32), Vec<[u8; ROW]>>;
+            let delivered: Arc<Mutex<PerGeneration>> = Arc::new(Mutex::new(HashMap::new()));
             let d = delivered.clone();
             let handles = run_workload(
                 &runtime,
@@ -242,9 +244,9 @@ fn two_queries_share_the_fabric_cleanly() {
                         query_seed(query, node),
                     )) as Arc<dyn Operator>
                 },
-                move |query, attempt, _, _, batch| {
+                move |query, generation, _, _, batch| {
                     let mut map = d.lock();
-                    let rows = map.entry((query, attempt)).or_default();
+                    let rows = map.entry((query, generation)).or_default();
                     for row in batch.iter() {
                         rows.push(row.try_into().expect("16-byte row"));
                     }
@@ -261,7 +263,7 @@ fn two_queries_share_the_fabric_cleanly() {
                 );
                 let mut rows = delivered
                     .lock()
-                    .get(&(h.query, report.restarts))
+                    .get(&(h.query, report.generation))
                     .cloned()
                     .unwrap_or_default();
                 rows.sort_unstable();
@@ -303,13 +305,15 @@ fn auditor_is_invisible_to_virtual_time() {
             if enable {
                 runtime.enable_audit();
             }
-            let report = run_shuffle_with_restart(
+            let report = run_shuffle_with_recovery(
                 &runtime,
                 &config,
-                RestartPolicy {
-                    max_restarts: 0,
+                RecoveryPolicy {
+                    max_partial_retries: 0,
+                    max_full_restarts: 0,
                     initial_backoff: us(50),
                     max_backoff: us(500),
+                    ..RecoveryPolicy::default()
                 },
                 ROW,
                 |_, node| {

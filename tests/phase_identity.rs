@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use rshuffle_repro::engine::{
-    drive_to_sink, run_shuffle_with_restart, Generator, RestartPolicy,
+    drive_to_sink, run_shuffle_with_recovery, Generator, RecoveryPolicy,
 };
 use rshuffle_repro::rshuffle::{
     CostModel, Exchange, ExchangeConfig, Operator, PhasePolicy, ReceiveOperator, ShuffleAlgorithm,
@@ -240,22 +240,24 @@ fn phased_chaos_plans_stay_exactly_once() {
             let delivered: Arc<Mutex<HashMap<u32, Vec<[u8; ROW]>>>> =
                 Arc::new(Mutex::new(HashMap::new()));
             let d = delivered.clone();
-            let report = run_shuffle_with_restart(
+            let report = run_shuffle_with_recovery(
                 &runtime,
                 &config,
-                RestartPolicy {
-                    max_restarts: 6,
+                RecoveryPolicy {
+                    max_partial_retries: 0,
+                    max_full_restarts: 6,
                     initial_backoff: us(50),
                     max_backoff: SimDuration::from_millis(1),
+                    ..RecoveryPolicy::default()
                 },
                 ROW,
                 |_, node| {
                     Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64))
                         as Arc<dyn Operator>
                 },
-                move |attempt, _, _, batch| {
+                move |generation, _, _, batch| {
                     let mut map = d.lock();
-                    let rows = map.entry(attempt).or_default();
+                    let rows = map.entry(generation).or_default();
                     for row in batch.iter() {
                         rows.push(row.try_into().expect("16-byte row"));
                     }
@@ -272,7 +274,7 @@ fn phased_chaos_plans_stay_exactly_once() {
             let map = Arc::try_unwrap(delivered)
                 .map(|m| m.into_inner())
                 .unwrap_or_default();
-            let winning = rep.restarts;
+            let winning = rep.generation;
             let mut rows = map.get(&winning).cloned().unwrap_or_default();
             rows.sort_unstable();
             assert_eq!(

@@ -10,19 +10,23 @@
 //! protocol auditor clean across rebuilds, and (e) when the fabric
 //! never heals, either step down the degradation ladder mid-query or
 //! surface a typed [`ShuffleError::RetryBudgetExhausted`] — never a
-//! hang.
+//! hang. Scheduled queries ([`run_workload`]) run through the same
+//! ladder, each rebuild admitted and released by the scheduler.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use rshuffle_repro::audit::ShuffleAuditor;
 use rshuffle_repro::engine::{
-    run_shuffle_with_recovery, Generator, RecoveryPolicy, RecoveryReport,
+    run_shuffle_with_recovery, run_workload, Generator, QuerySpec, QueryTiming, RecoveryPolicy,
+    RecoveryReport,
 };
 use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm, ShuffleError};
-use rshuffle_repro::simnet::{DeviceProfile, SimDuration};
+use rshuffle_repro::sched::{Scheduler, SchedulerConfig};
 use rshuffle_repro::simnet::FlowId;
-use rshuffle_repro::verbs::{FaultConfig, FaultPlan, QpScope};
+use rshuffle_repro::simnet::{DeviceProfile, SimDuration};
+use rshuffle_repro::verbs::{FaultConfig, FaultPlan, QpScope, VerbsRuntime};
 
 const NODES: usize = 3;
 const THREADS: usize = 2;
@@ -47,9 +51,10 @@ fn recovery_config(algorithm: ShuffleAlgorithm, plan: FaultPlan) -> ExchangeConf
         plan,
         ..FaultConfig::default()
     };
-    // Tag the query's memory so the orchestrator's per-attempt release
+    // Tag the query's memory so the coordinator's per-attempt release
     // is observable: after the run, every node's registered bytes must
-    // be back to zero however many rebuilds recovery took.
+    // be back to zero however many rebuilds recovery took. (A scheduled
+    // run overwrites the tag with its query id, also 1.)
     config.flow = FlowId(1);
     config
 }
@@ -84,6 +89,24 @@ struct RecoveryRun {
     violations: usize,
 }
 
+type Delivered = Arc<Mutex<HashMap<u32, Vec<[u8; ROW]>>>>;
+
+fn source(node: usize) -> Arc<dyn Operator> {
+    Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64))
+}
+
+/// A sink collecting every delivered row by generation.
+fn collect(delivered: &Delivered) -> impl Fn(u32, &rshuffle_repro::rshuffle::RowBatch) {
+    let delivered = delivered.clone();
+    move |generation, batch| {
+        let mut map = delivered.lock();
+        let rows = map.entry(generation).or_default();
+        for row in batch.iter() {
+            rows.push(row.try_into().expect("16-byte row"));
+        }
+    }
+}
+
 fn run_recovery(
     algorithm: ShuffleAlgorithm,
     plan: FaultPlan,
@@ -92,27 +115,76 @@ fn run_recovery(
     let config = recovery_config(algorithm, plan);
     let runtime = config.build_runtime(DeviceProfile::edr());
     let auditor = runtime.enable_audit();
-    let delivered: Arc<Mutex<HashMap<u32, Vec<[u8; ROW]>>>> = Arc::new(Mutex::new(HashMap::new()));
-    let d = delivered.clone();
+    let delivered = Delivered::default();
+    let push = collect(&delivered);
     let report = run_shuffle_with_recovery(
         &runtime,
         &config,
         policy,
         ROW,
-        |_, node| {
-            Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>
-        },
-        move |generation, _, _, batch| {
-            let mut map = d.lock();
-            let rows = map.entry(generation).or_default();
-            for row in batch.iter() {
-                rows.push(row.try_into().expect("16-byte row"));
-            }
-        },
+        |_, node| source(node),
+        move |generation, _, _, batch| push(generation, batch),
     );
     runtime.cluster().run();
-    let obs = runtime.obs();
     let report = report.lock().clone();
+    finish(&runtime, &auditor, report, delivered)
+}
+
+/// Runs the same query as [`run_recovery`], but as query 1 of a
+/// [`run_workload`] under a [`Scheduler`] with `mem_budget_per_node`.
+/// Asserts the scheduler drained: nothing running or queued, nothing
+/// reserved.
+fn run_scheduled(
+    algorithm: ShuffleAlgorithm,
+    plan: FaultPlan,
+    policy: RecoveryPolicy,
+    mem_budget_per_node: Option<usize>,
+) -> (RecoveryRun, QueryTiming) {
+    let config = recovery_config(algorithm, plan);
+    let runtime = config.build_runtime(DeviceProfile::edr());
+    let auditor = runtime.enable_audit();
+    let scheduler = Scheduler::new(
+        &runtime,
+        SchedulerConfig {
+            mem_budget_per_node,
+            ..SchedulerConfig::default()
+        },
+    );
+    let delivered = Delivered::default();
+    let push = collect(&delivered);
+    let mut spec = QuerySpec::new(1, config, ROW);
+    spec.policy = policy;
+    let handles = run_workload(
+        &runtime,
+        &scheduler,
+        vec![spec],
+        |_, _, node| source(node),
+        move |_, generation, _, _, batch| push(generation, batch),
+    );
+    runtime.cluster().run();
+    assert_eq!(scheduler.running(), 0, "scheduler must drain");
+    assert_eq!(scheduler.queued(), 0, "scheduler must drain");
+    for node in 0..NODES {
+        assert_eq!(
+            scheduler.reserved_bytes(node),
+            0,
+            "node {node}: reservation leaked"
+        );
+    }
+    let report = handles[0].report.lock().clone();
+    let timing = handles[0].timing.lock().clone();
+    (finish(&runtime, &auditor, report, delivered), timing)
+}
+
+/// Collects a finished run's artifacts, asserting no memory stayed
+/// registered on any node.
+fn finish(
+    runtime: &VerbsRuntime,
+    auditor: &ShuffleAuditor,
+    report: RecoveryReport,
+    delivered: Delivered,
+) -> RecoveryRun {
+    let obs = runtime.obs();
     let violations = auditor.finalize(report.succeeded()).len();
     // Memory-budget hygiene across rebuilds: every exchange generation
     // and every reconnect probe must deregister what it pinned.
@@ -125,9 +197,7 @@ fn run_recovery(
     }
     RecoveryRun {
         report,
-        delivered: Arc::try_unwrap(delivered)
-            .map(|m| m.into_inner())
-            .unwrap_or_default(),
+        delivered: std::mem::take(&mut *delivered.lock()),
         snapshot: obs.snapshot_json(),
         trace: obs.chrome_trace_json(),
         violations,
@@ -170,7 +240,7 @@ fn assert_exactly_once(run: &RecoveryRun, label: &str) {
         got.len(),
         expected.len(),
         run.report.partial_retries,
-        run.report.full_restarts
+        run.report.restarts
     );
     assert_eq!(
         got, expected,
@@ -205,11 +275,11 @@ fn partial_recovery_redoes_strictly_fewer_bytes_than_full_restart() {
             "{algorithm}: the outage must exercise the partial rung"
         );
         assert_eq!(
-            partial.report.full_restarts, 0,
+            partial.report.restarts, 0,
             "{algorithm}: partial recovery must contain the failure without a full restart"
         );
         assert!(
-            full.report.full_restarts >= 1,
+            full.report.restarts >= 1,
             "{algorithm}: baseline must take the full-restart path"
         );
         assert!(
@@ -271,13 +341,7 @@ fn same_seed_recovery_runs_are_byte_identical() {
 /// every row delivered before each descent is kept.
 #[test]
 fn persistent_rc_outage_degrades_to_ud_and_completes() {
-    let plan = FaultPlan::new().qp_failure_window(1, us(20), SimDuration::from_millis(500), QpScope::Rc);
-    let policy = RecoveryPolicy {
-        max_partial_retries: 8,
-        reconnect_budget: 3,
-        max_full_restarts: 0, // the ladder alone must save the query
-        ..RecoveryPolicy::default()
-    };
+    let (plan, policy) = persistent_rc_outage();
     let run = run_recovery(ShuffleAlgorithm::MEMQ_RD, plan, policy);
     assert!(
         run.report.succeeded(),
@@ -290,7 +354,7 @@ fn persistent_rc_outage_degrades_to_ud_and_completes() {
         "expected the two-rung descent to the UD design"
     );
     assert_eq!(run.report.final_algorithm, ShuffleAlgorithm::MESQ_SR);
-    assert_eq!(run.report.full_restarts, 0);
+    assert_eq!(run.report.restarts, 0);
     assert_eq!(run.report.generation, 0, "degradation keeps the generation");
     assert_exactly_once(&run, "degraded MEMQ_RD");
     assert_eq!(run.violations, 0, "auditor clean across the descent");
@@ -300,10 +364,10 @@ fn persistent_rc_outage_degrades_to_ud_and_completes() {
     );
 }
 
-/// A permanent all-transport outage with degradation disabled: the
-/// reconnect budget runs out, no rung is available, no full restart is
-/// allowed — the query must give up with the typed budget error, not
-/// hang.
+/// A permanent all-transport outage: the reconnect budget runs out,
+/// the UD design the ladder steps down to fails too (every Queue Pair
+/// on node 1 is down), no full restart is allowed — the query must give
+/// up with the typed budget error, not hang.
 #[test]
 fn exhausted_budgets_surface_typed_error_not_a_hang() {
     let plan =
@@ -311,7 +375,6 @@ fn exhausted_budgets_surface_typed_error_not_a_hang() {
     let policy = RecoveryPolicy {
         max_partial_retries: 4,
         reconnect_budget: 3,
-        allow_degradation: false,
         max_full_restarts: 0,
         ..RecoveryPolicy::default()
     };
@@ -341,10 +404,102 @@ fn healthy_recovery_runs_are_free_and_deterministic() {
     assert!(a.report.succeeded());
     assert_eq!(a.report.partial_retries, 0);
     assert_eq!(a.report.qp_reconnects, 0);
-    assert_eq!(a.report.full_restarts, 0);
+    assert_eq!(a.report.restarts, 0);
     assert_eq!(a.report.redone_bytes, 0);
     assert_eq!(a.report.recovery, None);
     assert_exactly_once(&a, "healthy MESQ_SR");
     assert_eq!(a.snapshot, b.snapshot, "healthy runs must be byte-identical");
     assert_eq!(a.violations, 0);
+}
+
+/// A persistent RC-only outage: the ladder's fixture, shared by the
+/// direct and scheduled degradation tests.
+fn persistent_rc_outage() -> (FaultPlan, RecoveryPolicy) {
+    let plan =
+        FaultPlan::new().qp_failure_window(1, us(20), SimDuration::from_millis(500), QpScope::Rc);
+    let policy = RecoveryPolicy {
+        max_partial_retries: 8,
+        reconnect_budget: 3,
+        max_full_restarts: 0, // the ladder alone must save the query
+        ..RecoveryPolicy::default()
+    };
+    (plan, policy)
+}
+
+/// A scheduled query under a transient RC QP-failure window takes the
+/// partial rung, not a full restart: every rebuild is admitted again
+/// (one admission per attempt) and released, and delivery stays
+/// exactly-once.
+#[test]
+fn scheduled_query_retries_partially_through_a_transient_outage() {
+    let plan = FaultPlan::new().qp_failure_window(1, us(20), us(300), QpScope::Rc);
+    let (run, timing) = run_scheduled(ShuffleAlgorithm::MEMQ_SR, plan, partial_policy(), None);
+    assert!(
+        run.report.succeeded(),
+        "scheduled partial retry failed: {:?}",
+        run.report.failure
+    );
+    assert!(
+        run.report.partial_retries >= 1,
+        "the outage must exercise the partial rung"
+    );
+    assert_eq!(run.report.restarts, 0, "contained without a full restart");
+    assert_exactly_once(&run, "scheduled MEMQ_SR");
+    assert_eq!(
+        timing.admissions,
+        1 + run.report.partial_retries,
+        "every rebuild re-enters admission"
+    );
+    assert!(timing.completed.is_some());
+    assert_eq!(run.violations, 0, "auditor clean across the epoch bump");
+}
+
+/// A scheduled MEMQ/RD query under a persistent RC outage descends the
+/// ladder to the UD design, as the unscheduled one does.
+#[test]
+fn scheduled_query_degrades_through_a_persistent_rc_outage() {
+    let (plan, policy) = persistent_rc_outage();
+    let (run, timing) = run_scheduled(ShuffleAlgorithm::MEMQ_RD, plan, policy, None);
+    assert!(
+        run.report.succeeded(),
+        "degradation must complete the scheduled query: {:?}",
+        run.report.failure
+    );
+    assert_eq!(
+        run.report.degradations,
+        vec![ShuffleAlgorithm::MEMQ_SR, ShuffleAlgorithm::MESQ_SR]
+    );
+    assert_eq!(run.report.final_algorithm, ShuffleAlgorithm::MESQ_SR);
+    assert_eq!(run.report.restarts, 0);
+    assert_exactly_once(&run, "scheduled degraded MEMQ_RD");
+    assert_eq!(timing.admissions, 1 + run.report.partial_retries);
+    assert_eq!(run.violations, 0, "auditor clean across the descent");
+}
+
+/// Each rebuild is admitted at its own design's footprint. With a
+/// per-node budget that fits MEMQ/RD but not MEMQ/SR, the degraded
+/// attempt can never be admitted: the query must fail with the typed
+/// budget error, not hang and not pin memory past its reservation.
+#[test]
+fn degraded_attempt_over_budget_fails_typed() {
+    let estimate = |algorithm| {
+        let config = recovery_config(algorithm, FaultPlan::new());
+        (0..NODES)
+            .map(|node| config.registered_bytes_estimate(&DeviceProfile::edr(), node))
+            .collect::<Vec<_>>()
+    };
+    let rd = estimate(ShuffleAlgorithm::MEMQ_RD).into_iter().max().unwrap_or(0);
+    let sr = estimate(ShuffleAlgorithm::MEMQ_SR).into_iter().min().unwrap_or(0);
+    assert!(rd < sr, "MEMQ/RD must register less than MEMQ/SR ({rd} vs {sr})");
+    let budget = (rd + sr) / 2;
+    let (plan, policy) = persistent_rc_outage();
+    let (run, timing) = run_scheduled(ShuffleAlgorithm::MEMQ_RD, plan, policy, Some(budget));
+    assert!(
+        matches!(run.report.failure, Some(ShuffleError::BudgetImpossible { .. })),
+        "expected the typed budget error, got {:?}",
+        run.report.failure
+    );
+    assert_eq!(run.report.degradations, vec![ShuffleAlgorithm::MEMQ_SR]);
+    assert_eq!(timing.admissions, 1, "the degraded attempt is never admitted");
+    assert_eq!(timing.completed, None);
 }

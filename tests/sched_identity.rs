@@ -1,7 +1,8 @@
 //! Scheduler transparency: with a concurrency limit of 1 and default
 //! weights, driving a query through `run_workload` + `Scheduler` must
 //! be byte-identical in virtual time to the direct
-//! `run_shuffle_with_restart` path, for all six paper algorithms.
+//! `run_shuffle_with_recovery` path, for all six paper algorithms and
+//! the two RDMA Write designs the advisor can also pick.
 //!
 //! "Byte-identical" is checked on the strongest observable artifacts we
 //! have: the full metrics snapshot and the Chrome trace, after removing
@@ -17,7 +18,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use rshuffle_obs::trace::chrome_trace;
 use rshuffle_repro::engine::{
-    run_shuffle_with_restart, run_workload, Generator, QuerySpec, RestartPolicy,
+    run_shuffle_with_recovery, run_workload, Generator, QuerySpec, RecoveryPolicy,
 };
 use rshuffle_repro::rshuffle::{ExchangeConfig, Operator, ShuffleAlgorithm};
 use rshuffle_repro::sched::{Scheduler, SchedulerConfig};
@@ -97,10 +98,10 @@ fn run_direct(algorithm: ShuffleAlgorithm) -> RunArtifacts {
     let runtime = config.build_runtime(DeviceProfile::edr());
     let delivered: Arc<Mutex<Vec<[u8; ROW]>>> = Arc::new(Mutex::new(Vec::new()));
     let push = collect(&delivered);
-    let report = run_shuffle_with_restart(
+    let report = run_shuffle_with_recovery(
         &runtime,
         &config,
-        RestartPolicy::default(),
+        RecoveryPolicy::default(),
         ROW,
         |_, node| Arc::new(Generator::new(ROWS_PER_THREAD, THREADS, node as u64)) as Arc<dyn Operator>,
         move |_, _, _, batch| push(batch),
@@ -161,10 +162,12 @@ fn run_scheduled(algorithm: ShuffleAlgorithm) -> RunArtifacts {
 
 /// The headline acceptance criterion: limit-1, weightless scheduling is
 /// invisible — same rows, same metrics, same trace, for all six
-/// algorithms.
+/// algorithms plus MEMQ/WR and SEMQ/WR.
 #[test]
 fn limit_one_scheduler_is_byte_identical_to_direct_path() {
-    for algorithm in ShuffleAlgorithm::ALL {
+    let write_designs = ["MEMQ/WR", "SEMQ/WR"]
+        .map(|name| ShuffleAlgorithm::parse(name).unwrap_or_else(|| panic!("{name} parses")));
+    for algorithm in ShuffleAlgorithm::ALL.into_iter().chain(write_designs) {
         let direct = run_direct(algorithm);
         let scheduled = run_scheduled(algorithm);
         assert_eq!(
